@@ -7,7 +7,7 @@
 // heap (no interpreter in the timed region):
 //
 //   1. Mark scaling: wall time of the mark phase over a fixed retained
-//      graph as --gc-workers goes 1 -> 2 -> 4. The graph is many medium
+//      graph as --gc=workers=N goes 1 -> 2 -> 4. The graph is many medium
 //      chains, so the workers have independent roots to partition and
 //      chunks to steal.
 //

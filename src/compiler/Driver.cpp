@@ -10,8 +10,6 @@
 #include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <mutex>
-#include <set>
 
 using namespace gofree;
 using namespace gofree::compiler;
@@ -56,27 +54,6 @@ FlagParse invalid(std::string *Err, const std::string &Msg) {
   if (Err)
     *Err = Msg;
   return FlagParse::Invalid;
-}
-
-/// One stderr line, once per process per deprecated flag, so scripted runs
-/// keep working while nudging toward the structured --gc syntax. The set
-/// doubles as the deprecationWarningCount() backing store.
-struct DeprecationState {
-  std::mutex Mu;
-  std::set<std::string> Warned;
-};
-
-DeprecationState &deprecationState() {
-  static DeprecationState S;
-  return S;
-}
-
-void warnDeprecated(const std::string &Old, const std::string &New) {
-  DeprecationState &S = deprecationState();
-  std::lock_guard<std::mutex> Lock(S.Mu);
-  if (S.Warned.insert(Old).second)
-    std::fprintf(stderr, "warning: %s is deprecated; use %s\n", Old.c_str(),
-                 New.c_str());
 }
 
 /// Applies one `--gc=` config string to \p Cfg. Grammar: comma-separated
@@ -185,12 +162,6 @@ bool parseGcConfig(std::string_view Spec, rt::GcConfig &Cfg,
 
 } // namespace
 
-unsigned gofree::compiler::driver::deprecationWarningCount() {
-  DeprecationState &S = deprecationState();
-  std::lock_guard<std::mutex> Lock(S.Mu);
-  return (unsigned)S.Warned.size();
-}
-
 FlagParse gofree::compiler::driver::parseFlag(std::string_view Flag,
                                               PipelineOptions &Opts,
                                               std::string *Err) {
@@ -270,27 +241,6 @@ FlagParse gofree::compiler::driver::parseFlag(std::string_view Flag,
       return FlagParse::Invalid;
     return FlagParse::Ok;
   }
-  // Deprecated aliases for the pre-GcConfig ad-hoc GC flags. Each parses
-  // into the same GcConfig field the --gc key would set, warns once, and
-  // stays out of usageText (docs steer to --gc).
-  if (N == "gogc") {
-    int64_t IV;
-    if (!WantInt(IV, Bad))
-      return Bad;
-    warnDeprecated("--gogc", "--gc=gogc=N");
-    Opts.Exec.Heap.Gc.Gogc = (int)IV;
-    return FlagParse::Ok;
-  }
-  if (N == "gc-min-trigger") {
-    int64_t IV;
-    if (!WantInt(IV, Bad))
-      return Bad;
-    if (IV < 0)
-      return invalid(Err, "--gc-min-trigger: must be non-negative");
-    warnDeprecated("--gc-min-trigger", "--gc=min-trigger=BYTES");
-    Opts.Exec.Heap.Gc.MinHeapTrigger = (uint64_t)IV;
-    return FlagParse::Ok;
-  }
   if (N == "mock") {
     if (!WantValue(Bad))
       return Bad;
@@ -322,36 +272,6 @@ FlagParse gofree::compiler::driver::parseFlag(std::string_view Flag,
     Opts.Exec.Heap.NumCaches = (int)IV;
     return FlagParse::Ok;
   }
-  if (N == "gc-workers") {
-    int64_t IV;
-    if (!WantInt(IV, Bad))
-      return Bad;
-    if (IV < 1 || IV > 256)
-      return invalid(Err, "--gc-workers: must be in [1, 256]");
-    warnDeprecated("--gc-workers", "--gc=workers=N");
-    Opts.Exec.Heap.Gc.Workers = (int)IV;
-    return FlagParse::Ok;
-  }
-  if (N == "gc-eager-sweep") {
-    if (!HasValue || V == "1" || V == "true")
-      Opts.Exec.Heap.Gc.EagerSweep = true;
-    else if (V == "0" || V == "false")
-      Opts.Exec.Heap.Gc.EagerSweep = false;
-    else
-      return invalid(Err, "--gc-eager-sweep: expected no value or 0|1");
-    warnDeprecated("--gc-eager-sweep", "--gc=eager-sweep=0|1");
-    return FlagParse::Ok;
-  }
-  if (N == "verify-heap") {
-    if (!HasValue || V == "1" || V == "true")
-      Opts.Exec.Heap.Gc.Verify = true;
-    else if (V == "0" || V == "false")
-      Opts.Exec.Heap.Gc.Verify = false;
-    else
-      return invalid(Err, "--verify-heap: expected no value or 0|1");
-    warnDeprecated("--verify-heap", "--gc=verify=0|1");
-    return FlagParse::Ok;
-  }
   if (N == "max-steps") {
     int64_t IV;
     if (!WantInt(IV, Bad))
@@ -371,24 +291,6 @@ FlagParse gofree::compiler::driver::parseFlag(std::string_view Flag,
     return FlagParse::Ok;
   }
   return FlagParse::Unknown;
-}
-
-bool gofree::compiler::driver::parseFlags(
-    std::initializer_list<std::string_view> Flags, PipelineOptions &Opts,
-    std::string *Err) {
-  for (std::string_view F : Flags) {
-    switch (parseFlag(F, Opts, Err)) {
-    case FlagParse::Ok:
-      break;
-    case FlagParse::Unknown:
-      if (Err)
-        *Err = "unknown flag '" + std::string(F) + "'";
-      return false;
-    case FlagParse::Invalid:
-      return false;
-    }
-  }
-  return true;
 }
 
 bool gofree::compiler::driver::parseFlags(const std::vector<std::string> &Flags,

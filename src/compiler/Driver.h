@@ -8,7 +8,7 @@
 /// \file
 /// One configuration surface for every embedder of the pipeline. Before
 /// this existed, the CLI, three bench binaries, and the tests each parsed
-/// their own subset of "--mode/--gogc/--mock/..." by hand, and drifted.
+/// their own subset of "--mode/--mock/..." by hand, and drifted.
 /// PipelineOptions bundles CompileOptions + ExecOptions + the entry point;
 /// parseFlag/usageText give every front end the same flag grammar; and the
 /// differential fuzz harness builds each of its legs from exactly these
@@ -31,7 +31,6 @@
 
 #include "compiler/Pipeline.h"
 
-#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,7 +55,7 @@ enum class FlagParse : uint8_t {
   Invalid, ///< Recognized but the value is malformed; *Err says why.
 };
 
-/// Applies one `--name=value` (or boolean `--name`) flag to \p Opts.
+/// Applies one `--name=value` flag to \p Opts.
 /// Recognizes the pipeline flags listed by usageText(); anything else is
 /// Unknown so front ends can layer their own flags on top. On Invalid,
 /// \p Err (if non-null) receives a one-line diagnostic.
@@ -66,8 +65,6 @@ FlagParse parseFlag(std::string_view Flag, PipelineOptions &Opts,
 /// Applies several flags; stops at the first non-Ok flag and returns
 /// false with \p Err set (Unknown flags are errors here -- use parseFlag
 /// directly to mix in caller-specific flags).
-bool parseFlags(std::initializer_list<std::string_view> Flags,
-                PipelineOptions &Opts, std::string *Err = nullptr);
 bool parseFlags(const std::vector<std::string> &Flags, PipelineOptions &Opts,
                 std::string *Err = nullptr);
 
@@ -87,11 +84,6 @@ ExecOutcome compileAndRun(const std::string &Source,
                           const PipelineOptions &Opts,
                           const std::vector<int64_t> &Args,
                           Compilation *Compiled = nullptr);
-
-/// How many distinct deprecated flags have warned so far in this process.
-/// Warnings are once-per-flag (warnDeprecated dedups), so tests can pin
-/// "parsing X warned exactly once" without scraping stderr.
-unsigned deprecationWarningCount();
 
 /// One-line machine-readable JSON for an outcome (`gofree run --json`):
 /// schema-versioned like the trace stream, carrying ok/error, the

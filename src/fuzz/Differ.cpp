@@ -140,6 +140,27 @@ std::string checkTcfreeAccounting(const LegResult &L) {
 
 } // namespace
 
+std::string gofree::fuzz::checkEngineStats(const LegResult &L,
+                                           const LegResult &Ref) {
+  const rt::StatsSnapshot &S = L.Outcome.Stats, &R = Ref.Outcome.Stats;
+  auto Differs = [&](const std::string &What, uint64_t Got, uint64_t Want) {
+    return "engine stats diverged from leg '" + Ref.Name + "': " + What +
+           " " + std::to_string(Got) + ", expected " + std::to_string(Want);
+  };
+  for (int C = 0; C < rt::NumAllocCats; ++C) {
+    std::string Cat = trace::allocCatName((uint8_t)C);
+    if (S.AllocCountByCat[C] != R.AllocCountByCat[C])
+      return Differs("heap allocs (" + Cat + ")", S.AllocCountByCat[C],
+                     R.AllocCountByCat[C]);
+    if (S.StackAllocCountByCat[C] != R.StackAllocCountByCat[C])
+      return Differs("stack allocs (" + Cat + ")", S.StackAllocCountByCat[C],
+                     R.StackAllocCountByCat[C]);
+  }
+  if (S.TcfreeCalls != R.TcfreeCalls)
+    return Differs("tcfree calls", S.TcfreeCalls, R.TcfreeCalls);
+  return "";
+}
+
 DiffResult gofree::fuzz::diffProgram(const std::string &Source,
                                      const DiffOptions &Opts) {
   DiffResult R;
@@ -199,6 +220,25 @@ DiffResult gofree::fuzz::diffProgram(const std::string &Source,
       R.Failure = "leg '" + L.Name + "' ran out of fuel";
       return R;
     }
+
+  // Engine stats law: each engine leg against the same pipeline on the
+  // other engine.
+  auto Named = [&](const char *Name) -> const LegResult * {
+    for (const LegResult &L : R.Legs)
+      if (L.Name == Name)
+        return &L;
+    return nullptr;
+  };
+  for (auto [Leg, Other] : {std::pair{"vm", "go"}, {"gofree-ast", "gofree"}}) {
+    const LegResult *L = Named(Leg), *O = Named(Other);
+    assert(L && O && "standardLegs lost an engine leg");
+    std::string Diverged = checkEngineStats(*L, *O);
+    if (!Diverged.empty()) {
+      R.Status = DiffStatus::Mismatch;
+      R.Failure = "leg '" + L->Name + "': " + Diverged;
+      return R;
+    }
+  }
 
   const interp::RunResult &G = Ref.Outcome.Run;
   for (size_t I = 1; I < R.Legs.size(); ++I) {

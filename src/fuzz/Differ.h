@@ -22,7 +22,10 @@
 ///    merely *poisons* instead of freeing must never change observables,
 ///    because a correctly-inserted tcfree only ever touches dead memory;
 ///  - every leg runs with HeapOptions::Verify, so a heap-invariant
-///    violation in any leg is a failure even when observables agree.
+///    violation in any leg is a failure even when observables agree;
+///  - every leg's tcfree calls are accounted for (freed by source or given
+///    up by reason), and each engine leg matches the same pipeline on the
+///    other engine in its allocation and tcfree counts (checkEngineStats).
 ///
 /// Each leg is built from driver::parseFlag flag strings, which the result
 /// carries verbatim: any leg of a fuzz report can be reproduced with
@@ -89,6 +92,14 @@ struct DiffResult {
 
 /// The leg matrix for \p Opts, outcomes not yet filled in.
 std::vector<LegResult> standardLegs(const DiffOptions &Opts);
+
+/// The engine stats law, for two legs that run one pipeline on different
+/// engines: both place allocation sites and call tcfree through the same
+/// interp::EngineCore, so heap allocations and stack allocations by
+/// category and tcfree calls must agree. Frees and give-ups depend on when
+/// the collector runs and are not compared. Returns "" when \p L agrees
+/// with \p Ref, else a one-line description of the first difference.
+std::string checkEngineStats(const LegResult &L, const LegResult &Ref);
 
 /// Runs \p Source through every standard leg and compares observables.
 DiffResult diffProgram(const std::string &Source, const DiffOptions &Opts);

@@ -10,32 +10,10 @@
 #include "support/GoArith.h"
 
 #include <algorithm>
-#include <cstring>
 
 using namespace gofree;
 using namespace gofree::interp;
 using namespace gofree::minigo;
-
-//===----------------------------------------------------------------------===//
-// FrameArena
-//===----------------------------------------------------------------------===//
-
-uintptr_t FrameArena::allocate(size_t Bytes) {
-  Bytes = (Bytes + 7) & ~(size_t)7;
-  if (Slabs.empty() || Used + Bytes > Slabs.back().second) {
-    size_t SlabSize = Slabs.empty() ? 4096 : Slabs.back().second * 2;
-    if (SlabSize < Bytes)
-      SlabSize = Bytes;
-    if (SlabSize > (1u << 20) && SlabSize > Bytes)
-      SlabSize = std::max<size_t>(1u << 20, Bytes);
-    Slabs.emplace_back(std::make_unique<char[]>(SlabSize), SlabSize);
-    Used = 0;
-  }
-  uintptr_t Addr = reinterpret_cast<uintptr_t>(Slabs.back().first.get()) + Used;
-  Used += Bytes;
-  std::memset(reinterpret_cast<void *>(Addr), 0, Bytes);
-  return Addr;
-}
 
 //===----------------------------------------------------------------------===//
 // Construction and roots
@@ -43,7 +21,7 @@ uintptr_t FrameArena::allocate(size_t Bytes) {
 
 Interp::Interp(const Program &Prog, const escape::ProgramAnalysis &Analysis,
                rt::Heap &Heap, InterpOptions Opts)
-    : Prog(Prog), Analysis(Analysis), Heap(Heap), Opts(Opts) {
+    : Core(Prog, Analysis, Heap, Opts) {
   // One scanner per interpreter: parallel workers each register their own,
   // and the collector walks all of them during the stopped world. Register
   // before the thread enters its MutatorScope (and deregister after it
@@ -52,102 +30,17 @@ Interp::Interp(const Program &Prog, const escape::ProgramAnalysis &Analysis,
   Heap.addRootScanner(this);
 }
 
-Interp::~Interp() { Heap.removeRootScanner(this); }
-
-void gofree::interp::scanValueRoots(rt::Heap &H, TypeLower &Types,
-                                    const Value &V) {
-  if (!V.Ty)
-    return;
-  switch (V.Ty->kind()) {
-  case Type::TK_Pointer:
-  case Type::TK_Map:
-    H.gcMarkAddr(V.A);
-    return;
-  case Type::TK_Slice:
-    H.gcMarkAddr(V.S.Data);
-    return;
-  case Type::TK_Struct:
-    if (V.A)
-      H.gcScanRegion(V.A, Types.lower(V.Ty), V.Ty->size());
-    return;
-  default:
-    return;
-  }
-}
+Interp::~Interp() { Core.Heap.removeRootScanner(this); }
 
 void Interp::scanRoots(rt::Heap &H) {
-  for (const auto &FP : Frames) {
-    const Frame &F = *FP;
-    // Variable slots, precisely via lowered pointer maps. Heap-boxed
-    // ("moved") variables hold one raw pointer; the box itself carries the
-    // full descriptor.
-    for (const VarDecl *V : F.Fn->AllVars) {
-      uintptr_t Slot = F.slotAddr(V);
-      if (V->MovedToHeap)
-        H.gcScanRegion(Slot, Types.rawPtr(), 8);
-      else if (V->Ty && V->Ty->hasPointers())
-        H.gcScanRegion(Slot, Types.lower(V->Ty), V->Ty->size());
-    }
-    for (const StackObj &O : F.StackObjs)
-      H.gcScanRegion(O.Addr, O.Desc, O.Bytes);
-    for (const DeferRecord &D : F.Defers)
-      for (const Value &V : D.Args)
-        scanValueRoots(H, Types, V);
-  }
+  Core.scanFrameRoots(H);
   for (const Value &V : TempRoots)
-    scanValueRoots(H, Types, V);
+    scanValueRoots(H, Core.Types, V);
 }
 
 //===----------------------------------------------------------------------===//
-// Memory helpers
+// Faults and fuel
 //===----------------------------------------------------------------------===//
-
-Value Interp::loadValue(uintptr_t Addr, const Type *Ty) {
-  return loadValueAt(Addr, Ty);
-}
-
-void Interp::storeValue(uintptr_t Addr, const Value &V) {
-  storeValueAt(Heap, Types, Addr, V);
-}
-
-rt::MapCtx Interp::mapCtxFor(const Type *MapTy) {
-  rt::MapCtx Ctx;
-  Ctx.H = &Heap;
-  Ctx.BucketArrayDesc = Types.mapBuckets(MapTy->elem());
-  Ctx.ValueDesc = Types.lower(MapTy->elem());
-  Ctx.ValueSize = MapTy->elem()->size();
-  Ctx.CacheId = Opts.CacheId;
-  Ctx.Opts = Opts.Map;
-  return Ctx;
-}
-
-uintptr_t Interp::varAddr(const VarDecl *V) {
-  Frame &F = *Frames.back();
-  uintptr_t Slot = F.slotAddr(V);
-  if (!V->MovedToHeap)
-    return Slot;
-  return readU64(Slot); // Boxed: the slot holds the heap cell's address.
-}
-
-void Interp::initVarSlot(const VarDecl *V) {
-  Frame &F = *Frames.back();
-  uintptr_t Slot = F.slotAddr(V);
-  if (V->MovedToHeap) {
-    // Go's "moved to heap": the variable's storage lives in a heap box; a
-    // fresh box per declaration execution preserves per-iteration identity.
-    uintptr_t Box = Heap.allocate(V->Ty->size(), Types.lower(V->Ty),
-                                  rt::AllocCat::Other, Opts.CacheId);
-    writeU64(Slot, Box);
-    return;
-  }
-  std::memset(reinterpret_cast<void *>(Slot), 0, V->Ty->size());
-}
-
-Value Interp::fault(const std::string &Msg) {
-  if (FaultMsg.empty())
-    FaultMsg = Msg;
-  return Value{};
-}
 
 Interp::Flow Interp::unwindStmt() {
   if (PanicUnwinding) {
@@ -158,15 +51,11 @@ Interp::Flow Interp::unwindStmt() {
 }
 
 bool Interp::burnFuel() {
-  ++FuelUsed;
-  // Simulated P-migration: rotate to the next thread cache.
-  if (Opts.MigrationPeriod && FuelUsed % Opts.MigrationPeriod == 0)
-    Opts.CacheId = (Opts.CacheId + 1) % Heap.options().NumCaches;
-  if (FuelUsed <= Opts.MaxSteps)
+  ++Core.FuelUsed;
+  Core.migrateOnPeriod();
+  if (Core.FuelUsed <= Core.Opts.MaxSteps)
     return true;
-  Result.OutOfFuel = true;
-  fault("step budget exhausted");
-  return false;
+  return Core.outOfFuel();
 }
 
 //===----------------------------------------------------------------------===//
@@ -179,7 +68,7 @@ uintptr_t Interp::evalLvalueAddr(const Expr *E, const Type **TyOut) {
   case ExprKind::Ident: {
     const auto *Id = cast<IdentExpr>(E);
     assert(Id->Decl && "blank identifier has no address");
-    return varAddr(Id->Decl);
+    return Core.varAddr(frame(), Id->Decl);
   }
   case ExprKind::Deref: {
     Value V = evalExpr(cast<DerefExpr>(E)->Sub);
@@ -230,125 +119,26 @@ uintptr_t Interp::evalLvalueAddr(const Expr *E, const Type **TyOut) {
   }
 }
 
-void Interp::noteStackAlloc(rt::AllocCat Cat, size_t Bytes) {
-  Heap.stats().StackAllocCountByCat[(int)Cat].fetch_add(
-      1, std::memory_order_relaxed);
-  if (trace::TraceSink *T = Heap.traceSink())
-    T->emit(trace::EventKind::StackAlloc, (uint8_t)Cat, Bytes);
-}
-
 Value Interp::evalMake(const MakeExpr *ME) {
-  int64_t Len = 0, Cap = 0;
+  int64_t Len = 0;
   if (ME->Len) {
     Len = evalExpr(ME->Len).I;
     if (interrupted())
       return Value{};
   }
-  Cap = Len;
+  int64_t Cap = Len;
   if (ME->CapExpr) {
     Cap = evalExpr(ME->CapExpr).I;
     if (interrupted())
       return Value{};
   }
-  bool OnStack = ME->AllocId < Analysis.SiteOnStack.size() &&
-                 Analysis.SiteOnStack[ME->AllocId];
-
-  if (ME->MadeTy->isSlice()) {
-    if (Len < 0 || Cap < Len)
-      return fault("make: invalid slice size");
-    const Type *Elem = ME->MadeTy->elem();
-    Value V;
-    V.Ty = ME->MadeTy;
-    V.S.Len = Len;
-    V.S.Cap = Cap;
-    if (OnStack) {
-      assert(ME->SizeIsConst && Cap <= ME->ConstSize &&
-             "stack slice exceeding its site size");
-      Frame &F = *Frames.back();
-      auto It = F.SiteMem.find(ME->AllocId);
-      if (It != F.SiteMem.end()) {
-        V.S.Data = It->second;
-        std::memset(reinterpret_cast<void *>(V.S.Data), 0,
-                    (size_t)ME->ConstSize * Elem->size());
-      } else {
-        size_t Bytes = (size_t)ME->ConstSize * Elem->size();
-        V.S.Data = F.Arena.allocate(Bytes ? Bytes : 8);
-        F.SiteMem[ME->AllocId] = V.S.Data;
-        F.StackObjs.push_back({V.S.Data, Types.arrayOf(Elem), Bytes});
-      }
-      noteStackAlloc(rt::AllocCat::Slice, (size_t)ME->ConstSize * Elem->size());
-    } else {
-      V.S.Data = rt::sliceAllocArray(Heap, Types.arrayOf(Elem), Cap,
-                                     Elem->size(), Opts.CacheId);
-      if (!V.S.Data)
-        return fault("make: invalid slice size");
-    }
-    return V;
-  }
-
-  // make(map[K]V[, hint])
-  assert(ME->MadeTy->isMap() && "make of non-slice non-map");
-  Value V;
-  V.Ty = ME->MadeTy;
-  int64_t Hint = Len;
-  if (OnStack) {
-    Frame &F = *Frames.back();
-    int64_t NBuckets = rt::mapBucketsForHint(Hint);
-    size_t BucketBytes =
-        rt::mapBucketBytes(NBuckets, ME->MadeTy->elem()->size());
-    auto It = F.SiteMem.find(ME->AllocId);
-    uintptr_t Block;
-    if (It != F.SiteMem.end()) {
-      Block = It->second;
-      std::memset(reinterpret_cast<void *>(Block), 0,
-                  rt::HMapHeaderSize + BucketBytes);
-    } else {
-      Block = F.Arena.allocate(rt::HMapHeaderSize + BucketBytes);
-      F.SiteMem[ME->AllocId] = Block;
-      F.StackObjs.push_back({Block, Types.hmap(), rt::HMapHeaderSize});
-      F.StackObjs.push_back({Block + rt::HMapHeaderSize,
-                             Types.mapBuckets(ME->MadeTy->elem()),
-                             BucketBytes});
-    }
-    rt::mapInit(Block, NBuckets, Block + rt::HMapHeaderSize,
-                ME->MadeTy->elem()->size());
-    V.A = Block;
-    noteStackAlloc(rt::AllocCat::Map, rt::HMapHeaderSize + BucketBytes);
-  } else {
-    V.A = rt::mapMakeHeap(mapCtxFor(ME->MadeTy), Types.hmap(), Hint);
-  }
-  return V;
+  return Core.allocMake(ME, Len, Cap);
 }
 
 Value Interp::evalComposite(const CompositeExpr *CE) {
-  Frame &F = *Frames.back();
-  const Type *StructTy = CE->StructTy;
-  size_t Bytes = StructTy->size();
-  uintptr_t Storage;
-  bool OnStack = !CE->TakeAddr || (CE->AllocId < Analysis.SiteOnStack.size() &&
-                                   Analysis.SiteOnStack[CE->AllocId]);
-  if (OnStack) {
-    auto It = F.SiteMem.find(CE->AllocId);
-    if (It != F.SiteMem.end()) {
-      Storage = It->second;
-      std::memset(reinterpret_cast<void *>(Storage), 0, Bytes);
-    } else {
-      Storage = F.Arena.allocate(Bytes ? Bytes : 8);
-      F.SiteMem[CE->AllocId] = Storage;
-      F.StackObjs.push_back({Storage, Types.lower(StructTy), Bytes});
-    }
-    if (CE->TakeAddr)
-      noteStackAlloc(rt::AllocCat::Other, Bytes);
-  } else {
-    Storage = Heap.allocate(Bytes, Types.lower(StructTy), rt::AllocCat::Other,
-                            Opts.CacheId);
-  }
-
   // Root the object while initializers run (they may allocate).
   size_t Mark = tempMark();
-  Value Obj;
-  Obj.Ty = CE->TakeAddr ? CE->Ty : StructTy;
-  Obj.A = Storage;
+  Value Obj = Core.allocComposite(CE);
   if (CE->TakeAddr)
     pushTemp(Obj);
   for (size_t I = 0; I < CE->Inits.size(); ++I) {
@@ -357,7 +147,7 @@ Value Interp::evalComposite(const CompositeExpr *CE) {
       popTemps(Mark);
       return Value{};
     }
-    storeValue(Storage + CE->InitFields[I]->Offset, Init);
+    storeValue(Obj.A + CE->InitFields[I]->Offset, Init);
   }
   popTemps(Mark);
   return Obj;
@@ -376,8 +166,9 @@ Value Interp::evalAppend(const AppendExpr *AE) {
   }
   pushTemp(Elem);
   const Type *ElemTy = AE->SliceArg->Ty->elem();
-  if (rt::sliceGrowForAppend(Heap, S.S, Types.arrayOf(ElemTy), ElemTy->size(),
-                             Opts.CacheId, Opts.Slice) ==
+  if (rt::sliceGrowForAppend(Core.Heap, S.S, Core.Types.arrayOf(ElemTy),
+                             ElemTy->size(), Core.Opts.CacheId,
+                             Core.Opts.Slice) ==
       rt::SliceGrow::Overflow) {
     popTemps(Mark);
     return fault("growslice: cap out of range");
@@ -414,7 +205,7 @@ Value Interp::evalExpr(const Expr *E) {
   case ExprKind::Ident: {
     const auto *Id = cast<IdentExpr>(E);
     assert(Id->Decl && "reading the blank identifier");
-    return loadValue(varAddr(Id->Decl), Id->Decl->Ty);
+    return loadValueAt(Core.varAddr(frame(), Id->Decl), Id->Decl->Ty);
   }
   case ExprKind::Unary: {
     const auto *UE = cast<UnaryExpr>(E);
@@ -501,7 +292,7 @@ Value Interp::evalExpr(const Expr *E) {
       return Value{};
     if (!P.A)
       return fault("nil pointer dereference");
-    return loadValue(P.A, E->Ty);
+    return loadValueAt(P.A, E->Ty);
   }
   case ExprKind::AddrOf: {
     const Type *Ty;
@@ -529,7 +320,7 @@ Value Interp::evalExpr(const Expr *E) {
         return Value{};
       Base = S.A;
     }
-    return loadValue(Base + FE->F->Offset, E->Ty);
+    return loadValueAt(Base + FE->F->Offset, E->Ty);
   }
   case ExprKind::Index: {
     const auto *IE = cast<IndexExpr>(E);
@@ -540,25 +331,7 @@ Value Interp::evalExpr(const Expr *E) {
       Value K = evalExpr(IE->Idx);
       if (interrupted())
         return Value{};
-      const Type *ValTy = E->Ty;
-      // Reading from a nil map yields the zero value, like Go.
-      alignas(8) char Buf[64];
-      assert(ValTy->size() <= sizeof(Buf) && "map value too large");
-      std::memset(Buf, 0, sizeof(Buf));
-      if (M.A)
-        rt::mapLookup(M.A, K.I, Buf, ValTy->size());
-      if (ValTy->isStruct()) {
-        // Copy into per-site-free temp storage is unnecessary: map values
-        // of struct type are copied straight out of the buffer into the
-        // destination by storeValue; hand out a frame-arena copy.
-        uintptr_t Tmp = Frames.back()->Arena.allocate(ValTy->size());
-        std::memcpy(reinterpret_cast<void *>(Tmp), Buf, ValTy->size());
-        Value V;
-        V.Ty = ValTy;
-        V.A = Tmp;
-        return V;
-      }
-      return loadValue(reinterpret_cast<uintptr_t>(Buf), ValTy);
+      return Core.mapIndex(M.A, K.I, E->Ty);
     }
     Value Base = evalExpr(IE->Base);
     if (interrupted())
@@ -568,7 +341,7 @@ Value Interp::evalExpr(const Expr *E) {
       return Value{};
     if (Idx.I < 0 || Idx.I >= Base.S.Len)
       return fault("slice index out of range");
-    return loadValue(Base.S.Data + (uintptr_t)Idx.I * E->Ty->size(), E->Ty);
+    return loadValueAt(Base.S.Data + (uintptr_t)Idx.I * E->Ty->size(), E->Ty);
   }
   case ExprKind::Call: {
     const auto *CE = cast<CallExpr>(E);
@@ -600,33 +373,8 @@ Value Interp::evalExpr(const Expr *E) {
   }
   case ExprKind::Make:
     return evalMake(cast<MakeExpr>(E));
-  case ExprKind::New: {
-    const auto *NE = cast<NewExpr>(E);
-    bool OnStack = NE->AllocId < Analysis.SiteOnStack.size() &&
-                   Analysis.SiteOnStack[NE->AllocId];
-    uintptr_t Storage;
-    size_t Bytes = NE->AllocTy->size();
-    if (OnStack) {
-      Frame &F = *Frames.back();
-      auto It = F.SiteMem.find(NE->AllocId);
-      if (It != F.SiteMem.end()) {
-        Storage = It->second;
-        std::memset(reinterpret_cast<void *>(Storage), 0, Bytes);
-      } else {
-        Storage = F.Arena.allocate(Bytes ? Bytes : 8);
-        F.SiteMem[NE->AllocId] = Storage;
-        F.StackObjs.push_back({Storage, Types.lower(NE->AllocTy), Bytes});
-      }
-      noteStackAlloc(rt::AllocCat::Other, Bytes);
-    } else {
-      Storage = Heap.allocate(Bytes, Types.lower(NE->AllocTy),
-                              rt::AllocCat::Other, Opts.CacheId);
-    }
-    Value V;
-    V.Ty = E->Ty;
-    V.A = Storage;
-    return V;
-  }
+  case ExprKind::New:
+    return Core.allocNew(cast<NewExpr>(E));
   case ExprKind::Composite:
     return evalComposite(cast<CompositeExpr>(E));
   case ExprKind::Len: {
@@ -689,8 +437,8 @@ Value Interp::evalExpr(const Expr *E) {
     int64_t N = std::min(Dst.S.Len, Src.S.Len);
     size_t ElemSize = CE->Dst->Ty->elem()->size();
     if (N > 0) {
-      Heap.gcCopyBarrier(Dst.S.Data, Src.S.Data, (size_t)N * ElemSize,
-                         Types.arrayOf(CE->Dst->Ty->elem()));
+      Core.Heap.gcCopyBarrier(Dst.S.Data, Src.S.Data, (size_t)N * ElemSize,
+                              Core.Types.arrayOf(CE->Dst->Ty->elem()));
       rt::copyWordsRelaxed(Dst.S.Data, Src.S.Data, (size_t)N * ElemSize);
     }
     Value V;
@@ -728,10 +476,10 @@ Interp::Flow Interp::execVarDecl(const VarDeclStmt *DS) {
     for (Value &V : Results)
       pushTemp(V); // initVarSlot may allocate boxes and trigger GC.
     for (size_t I = 0; I < DS->Vars.size(); ++I) {
-      initVarSlot(DS->Vars[I]);
+      Core.initVarSlot(frame(), DS->Vars[I]);
       if (interrupted())
         return unwindStmt();
-      storeValue(varAddr(DS->Vars[I]), Results[I]);
+      storeValue(Core.varAddr(frame(), DS->Vars[I]), Results[I]);
     }
     popTemps(Mark);
     return Flow::Normal;
@@ -743,13 +491,13 @@ Interp::Flow Interp::execVarDecl(const VarDeclStmt *DS) {
         return unwindStmt();
       size_t Mark = tempMark();
       pushTemp(V);
-      initVarSlot(DS->Vars[I]);
+      Core.initVarSlot(frame(), DS->Vars[I]);
       popTemps(Mark);
       if (interrupted())
         return unwindStmt();
-      storeValue(varAddr(DS->Vars[I]), V);
+      storeValue(Core.varAddr(frame(), DS->Vars[I]), V);
     } else {
-      initVarSlot(DS->Vars[I]);
+      Core.initVarSlot(frame(), DS->Vars[I]);
       if (interrupted())
         return unwindStmt();
     }
@@ -780,7 +528,7 @@ Interp::Flow Interp::execAssign(const AssignStmt *AS) {
       assert(V.Ty->size() <= sizeof(Buf) && "map value too large");
       Value Tmp = V;
       storeValue(reinterpret_cast<uintptr_t>(Buf), Tmp);
-      rt::mapAssign(mapCtxFor(IE->Base->Ty), M.A, K.I, Buf);
+      rt::mapAssign(Core.mapCtxFor(IE->Base->Ty), M.A, K.I, Buf);
       popTemps(Mark);
       return true;
     }
@@ -827,26 +575,6 @@ Interp::Flow Interp::execAssign(const AssignStmt *AS) {
       return unwindStmt();
     if (!StoreInto(AS->Lhs[I], V))
       return unwindStmt();
-  }
-  return Flow::Normal;
-}
-
-Interp::Flow Interp::execTcfree(const TcfreeStmt *TS) {
-  uintptr_t Addr = varAddr(TS->Var);
-  switch (TS->FreeKind) {
-  case TcfreeKind::Slice: {
-    rt::SliceHeader Hdr;
-    std::memcpy(&Hdr, reinterpret_cast<void *>(Addr), sizeof(Hdr));
-    rt::tcfreeSlice(Heap, Hdr, Opts.CacheId);
-    return Flow::Normal;
-  }
-  case TcfreeKind::Map:
-    rt::tcfreeMap(Heap, readU64(Addr), Opts.CacheId);
-    return Flow::Normal;
-  case TcfreeKind::Object:
-    Heap.tcfreeObject(readU64(Addr), Opts.CacheId,
-                      rt::FreeSource::TcfreeObject);
-    return Flow::Normal;
   }
   return Flow::Normal;
 }
@@ -905,7 +633,7 @@ Interp::Flow Interp::execStmt(const Stmt *S) {
   case StmtKind::Return: {
     const auto *RS = cast<ReturnStmt>(S);
     std::vector<Value> Values;
-    const FuncDecl *Fn = Frames.back()->Fn;
+    const FuncDecl *Fn = frame().Fn;
     if (RS->Values.size() == 1 && Fn->Results.size() > 1) {
       // return f() forwarding multiple results.
       const auto *Call = cast<CallExpr>(RS->Values[0]);
@@ -951,7 +679,7 @@ Interp::Flow Interp::execStmt(const Stmt *S) {
       pushTemp(V);
       Rec.Args.push_back(V);
     }
-    Frames.back()->Defers.push_back(std::move(Rec));
+    frame().Defers.push_back(std::move(Rec));
     popTemps(Mark);
     return Flow::Normal;
   }
@@ -961,8 +689,8 @@ Interp::Flow Interp::execStmt(const Stmt *S) {
     if (interrupted())
       return unwindStmt();
     PendingPanic = V.I;
-    Result.Panicked = true;
-    Result.PanicValue = V.I;
+    Core.Result.Panicked = true;
+    Core.Result.PanicValue = V.I;
     return Flow::Panic;
   }
   case StmtKind::Break:
@@ -973,8 +701,8 @@ Interp::Flow Interp::execStmt(const Stmt *S) {
     Value V = evalExpr(cast<SinkStmt>(S)->Value);
     if (interrupted())
       return unwindStmt();
-    Result.Checksum = Result.Checksum * 1099511628211ULL ^ (uint64_t)V.I;
-    ++Result.SinkCount;
+    Core.Result.Checksum = Core.Result.Checksum * 1099511628211ULL ^ (uint64_t)V.I;
+    ++Core.Result.SinkCount;
     return Flow::Normal;
   }
   case StmtKind::Delete: {
@@ -990,7 +718,8 @@ Interp::Flow Interp::execStmt(const Stmt *S) {
     return Flow::Normal;
   }
   case StmtKind::Tcfree:
-    return execTcfree(cast<TcfreeStmt>(S));
+    Core.tcfree(cast<TcfreeStmt>(S));
+    return Flow::Normal;
   }
   assert(false && "unhandled statement kind");
   return Flow::Fault;
@@ -1019,44 +748,24 @@ void Interp::runDefers(Frame &F) {
     std::vector<Value> Ignored;
     callFunction(Rec.Fn, Rec.Args, &Ignored);
     popTemps(Mark);
-    if (faulted())
+    if (Core.faulted())
       return;
   }
 }
 
 Interp::Flow Interp::callFunction(const FuncDecl *Fn, std::vector<Value> Args,
                                   std::vector<Value> *Results) {
-  if (!Fn) {
-    fault("call to unresolved function");
+  if (!Core.enterFrame(Fn, Args.data(), Args.size()))
     return Flow::Fault;
-  }
-  if (Frames.size() >= Opts.MaxFrames) {
-    Result.OutOfFuel = true;
-    fault("call stack overflow");
-    return Flow::Fault;
-  }
-  auto FramePtr = std::make_unique<Frame>();
-  Frame &F = *FramePtr;
-  F.Fn = Fn;
-  F.Slots.assign(Fn->FrameSize, 0);
-  Frames.push_back(std::move(FramePtr));
 
-  assert(Args.size() == Fn->Params.size() && "argument count mismatch");
-  for (size_t I = 0; I < Args.size(); ++I) {
-    initVarSlot(Fn->Params[I]); // May heap-box escaped parameters.
-    if (interrupted())
-      break;
-    storeValue(varAddr(Fn->Params[I]), Args[I]);
-  }
-
-  Flow F1 = faulted() ? Flow::Fault : execBlock(Fn->Body);
+  Flow F1 = Core.faulted() ? Flow::Fault : execBlock(Fn->Body);
 
   // Capture return values before defers can clobber PendingReturn.
   std::vector<Value> Returned;
   if (F1 == Flow::Return)
     Returned = std::move(PendingReturn);
   else if (F1 == Flow::Normal && !Fn->Results.empty()) {
-    fault("missing return in '" + Fn->Name + "'");
+    Core.missingReturn(Fn);
     F1 = Flow::Fault;
   }
 
@@ -1064,28 +773,13 @@ Interp::Flow Interp::callFunction(const FuncDecl *Fn, std::vector<Value> Args,
     size_t Mark = tempMark();
     for (const Value &V : Returned)
       pushTemp(V);
-    runDefers(*Frames.back());
+    runDefers(frame());
     popTemps(Mark);
-    if (faulted() && F1 != Flow::Panic)
+    if (Core.faulted() && F1 != Flow::Panic)
       F1 = Flow::Fault;
   }
 
-  // Struct-typed return values reference storage inside the dying frame
-  // (its slots or its temp arena); copy them into the caller's frame arena
-  // before the callee frame is destroyed.
-  if (Frames.size() >= 2) {
-    Frame &Caller = *Frames[Frames.size() - 2];
-    for (Value &V : Returned) {
-      if (!V.Ty || !V.Ty->isStruct() || !V.A)
-        continue;
-      uintptr_t Copy = Caller.Arena.allocate(V.Ty->size());
-      std::memcpy(reinterpret_cast<void *>(Copy),
-                  reinterpret_cast<void *>(V.A), V.Ty->size());
-      V.A = Copy;
-    }
-  }
-
-  Frames.pop_back();
+  Core.exitFrame(Returned);
   if (Results)
     *Results = std::move(Returned);
   if (F1 == Flow::Return || F1 == Flow::Normal)
@@ -1099,38 +793,13 @@ Interp::Flow Interp::callFunction(const FuncDecl *Fn, std::vector<Value> Args,
 
 RunResult Interp::run(const std::string &Entry,
                       const std::vector<int64_t> &Args) {
-  Result = RunResult{};
-  FaultMsg.clear();
-  FuelUsed = 0;
-  Frames.clear();
   TempRoots.clear();
-
-  const FuncDecl *Fn = Prog.findFunc(Entry);
-  if (!Fn) {
-    Result.Error = "no entry function '" + Entry + "'";
-    return Result;
-  }
-  if (Fn->Params.size() != Args.size()) {
-    Result.Error = "entry argument count mismatch";
-    return Result;
-  }
   std::vector<Value> ArgValues;
-  for (size_t I = 0; I < Args.size(); ++I) {
-    Value V;
-    V.Ty = Fn->Params[I]->Ty;
-    V.I = Args[I];
-    if (!V.Ty->isScalar()) {
-      Result.Error = "entry parameters must be int or bool";
-      return Result;
-    }
-    ArgValues.push_back(V);
-  }
+  const FuncDecl *Fn = Core.beginRun(Entry, Args, ArgValues);
+  if (!Fn)
+    return Core.Result;
   std::vector<Value> Results;
   callFunction(Fn, std::move(ArgValues), &Results);
-  Result.Steps = FuelUsed;
-  if (!FaultMsg.empty() && !Result.OutOfFuel)
-    Result.Error = FaultMsg;
-  Frames.clear();
   TempRoots.clear();
-  return Result;
+  return Core.finishRun();
 }

@@ -11,26 +11,11 @@
 #include "vm/Compiler.h"
 
 #include <algorithm>
-#include <cstring>
 
 using namespace gofree;
 using namespace gofree::vm;
 using namespace gofree::minigo;
 using interp::Value;
-
-namespace {
-
-uint64_t readU64(uintptr_t Addr) {
-  uint64_t V;
-  std::memcpy(&V, reinterpret_cast<void *>(Addr), 8);
-  return V;
-}
-
-void writeU64(uintptr_t Addr, uint64_t V) {
-  std::memcpy(reinterpret_cast<void *>(Addr), &V, 8);
-}
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // Construction and roots
@@ -38,7 +23,7 @@ void writeU64(uintptr_t Addr, uint64_t V) {
 
 Vm::Vm(const Program &Prog, const escape::ProgramAnalysis &Analysis,
        rt::Heap &Heap, interp::InterpOptions Opts, const Module *Shared)
-    : Prog(Prog), Analysis(Analysis), Heap(Heap), Opts(Opts) {
+    : Core(Prog, Analysis, Heap, Opts) {
   if (Shared) {
     assert(Shared->Prog == &Prog && "shared module for a different program");
     M = Shared;
@@ -52,27 +37,13 @@ Vm::Vm(const Program &Prog, const escape::ProgramAnalysis &Analysis,
   Heap.addRootScanner(this);
 }
 
-Vm::~Vm() { Heap.removeRootScanner(this); }
+Vm::~Vm() { Core.Heap.removeRootScanner(this); }
 
 void Vm::scanRoots(rt::Heap &H) {
-  for (const auto &FP : Frames) {
-    const interp::Frame &F = *FP;
-    for (const VarDecl *V : F.Fn->AllVars) {
-      uintptr_t Slot = F.slotAddr(V);
-      if (V->MovedToHeap)
-        H.gcScanRegion(Slot, Types.rawPtr(), 8);
-      else if (V->Ty && V->Ty->hasPointers())
-        H.gcScanRegion(Slot, Types.lower(V->Ty), V->Ty->size());
-    }
-    for (const interp::StackObj &O : F.StackObjs)
-      H.gcScanRegion(O.Addr, O.Desc, O.Bytes);
-    for (const interp::DeferRecord &D : F.Defers)
-      for (const Value &V : D.Args)
-        interp::scanValueRoots(H, Types, V);
-  }
+  Core.scanFrameRoots(H);
   for (const auto &Rets : ReturnedStack)
     for (const Value &V : Rets)
-      interp::scanValueRoots(H, Types, V);
+      interp::scanValueRoots(H, Core.Types, V);
   for (const Value &V : Stack) {
     if (!V.Ty)
       // Raw lvalue address: an interior pointer into the object about to
@@ -81,239 +52,22 @@ void Vm::scanRoots(rt::Heap &H) {
       // address-computation window.
       H.gcMarkAddr(V.A);
     else
-      interp::scanValueRoots(H, Types, V);
+      interp::scanValueRoots(H, Core.Types, V);
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Bookkeeping shared with the interpreter (same semantics; see Interp.cpp)
+// Fuel hooks
 //===----------------------------------------------------------------------===//
-
-uintptr_t Vm::varAddr(interp::Frame &F, const VarDecl *V) {
-  uintptr_t Slot = F.slotAddr(V);
-  if (!V->MovedToHeap)
-    return Slot;
-  return readU64(Slot); // Boxed: the slot holds the heap cell's address.
-}
-
-void Vm::initVarSlot(interp::Frame &F, const VarDecl *V) {
-  uintptr_t Slot = F.slotAddr(V);
-  if (V->MovedToHeap) {
-    uintptr_t Box = Heap.allocate(V->Ty->size(), Types.lower(V->Ty),
-                                  rt::AllocCat::Other, Opts.CacheId);
-    writeU64(Slot, Box);
-    return;
-  }
-  std::memset(reinterpret_cast<void *>(Slot), 0, V->Ty->size());
-}
-
-rt::MapCtx Vm::mapCtxFor(const Type *MapTy) {
-  rt::MapCtx Ctx;
-  Ctx.H = &Heap;
-  Ctx.BucketArrayDesc = Types.mapBuckets(MapTy->elem());
-  Ctx.ValueDesc = Types.lower(MapTy->elem());
-  Ctx.ValueSize = MapTy->elem()->size();
-  Ctx.CacheId = Opts.CacheId;
-  Ctx.Opts = Opts.Map;
-  return Ctx;
-}
-
-void Vm::noteStackAlloc(rt::AllocCat Cat, size_t Bytes) {
-  Heap.stats().StackAllocCountByCat[(int)Cat].fetch_add(
-      1, std::memory_order_relaxed);
-  if (trace::TraceSink *T = Heap.traceSink())
-    T->emit(trace::EventKind::StackAlloc, (uint8_t)Cat, Bytes);
-}
-
-void Vm::fault(const std::string &Msg) {
-  if (FaultMsg.empty())
-    FaultMsg = Msg;
-}
 
 bool Vm::burnFuelHooks() {
-  // Simulated P-migration: rotate to the next thread cache.
-  if (Opts.MigrationPeriod && FuelUsed % Opts.MigrationPeriod == 0)
-    Opts.CacheId = (Opts.CacheId + 1) % Heap.options().NumCaches;
+  Core.migrateOnPeriod();
   // GC torture: a forced collection at (essentially) every dispatch point.
-  if (Opts.GcEveryNSteps && FuelUsed % Opts.GcEveryNSteps == 0)
-    Heap.runGc();
-  if (FuelUsed <= Opts.MaxSteps)
+  if (Core.Opts.GcEveryNSteps && Core.FuelUsed % Core.Opts.GcEveryNSteps == 0)
+    Core.Heap.runGc();
+  if (Core.FuelUsed <= Core.Opts.MaxSteps)
     return true;
-  return outOfFuel();
-}
-
-bool Vm::outOfFuel() {
-  Result.OutOfFuel = true;
-  fault("step budget exhausted");
-  return false;
-}
-
-//===----------------------------------------------------------------------===//
-// Allocation sites
-//===----------------------------------------------------------------------===//
-
-Vm::Flow Vm::doMake(const MakeExpr *ME) {
-  // The compiled code pushed Len then Cap (when present).
-  int64_t Len = 0, Cap = 0;
-  if (ME->CapExpr)
-    Cap = pop().I;
-  if (ME->Len)
-    Len = pop().I;
-  if (!ME->CapExpr)
-    Cap = Len;
-  bool OnStack = ME->AllocId < Analysis.SiteOnStack.size() &&
-                 Analysis.SiteOnStack[ME->AllocId];
-
-  if (ME->MadeTy->isSlice()) {
-    if (Len < 0 || Cap < Len) {
-      fault("make: invalid slice size");
-      return Flow::Fault;
-    }
-    const Type *Elem = ME->MadeTy->elem();
-    Value V;
-    V.Ty = ME->MadeTy;
-    V.S.Len = Len;
-    V.S.Cap = Cap;
-    if (OnStack) {
-      assert(ME->SizeIsConst && Cap <= ME->ConstSize &&
-             "stack slice exceeding its site size");
-      interp::Frame &F = *Frames.back();
-      auto It = F.SiteMem.find(ME->AllocId);
-      if (It != F.SiteMem.end()) {
-        V.S.Data = It->second;
-        std::memset(reinterpret_cast<void *>(V.S.Data), 0,
-                    (size_t)ME->ConstSize * Elem->size());
-      } else {
-        size_t Bytes = (size_t)ME->ConstSize * Elem->size();
-        V.S.Data = F.Arena.allocate(Bytes ? Bytes : 8);
-        F.SiteMem[ME->AllocId] = V.S.Data;
-        F.StackObjs.push_back({V.S.Data, Types.arrayOf(Elem), Bytes});
-      }
-      noteStackAlloc(rt::AllocCat::Slice, (size_t)ME->ConstSize * Elem->size());
-    } else {
-      V.S.Data = rt::sliceAllocArray(Heap, Types.arrayOf(Elem), Cap,
-                                     Elem->size(), Opts.CacheId);
-      if (!V.S.Data) {
-        fault("make: invalid slice size");
-        return Flow::Fault;
-      }
-    }
-    push(V);
-    return Flow::Normal;
-  }
-
-  // make(map[K]V[, hint])
-  assert(ME->MadeTy->isMap() && "make of non-slice non-map");
-  Value V;
-  V.Ty = ME->MadeTy;
-  int64_t Hint = Len;
-  if (OnStack) {
-    interp::Frame &F = *Frames.back();
-    int64_t NBuckets = rt::mapBucketsForHint(Hint);
-    size_t BucketBytes =
-        rt::mapBucketBytes(NBuckets, ME->MadeTy->elem()->size());
-    auto It = F.SiteMem.find(ME->AllocId);
-    uintptr_t Block;
-    if (It != F.SiteMem.end()) {
-      Block = It->second;
-      std::memset(reinterpret_cast<void *>(Block), 0,
-                  rt::HMapHeaderSize + BucketBytes);
-    } else {
-      Block = F.Arena.allocate(rt::HMapHeaderSize + BucketBytes);
-      F.SiteMem[ME->AllocId] = Block;
-      F.StackObjs.push_back({Block, Types.hmap(), rt::HMapHeaderSize});
-      F.StackObjs.push_back({Block + rt::HMapHeaderSize,
-                             Types.mapBuckets(ME->MadeTy->elem()),
-                             BucketBytes});
-    }
-    rt::mapInit(Block, NBuckets, Block + rt::HMapHeaderSize,
-                ME->MadeTy->elem()->size());
-    V.A = Block;
-    noteStackAlloc(rt::AllocCat::Map, rt::HMapHeaderSize + BucketBytes);
-  } else {
-    V.A = rt::mapMakeHeap(mapCtxFor(ME->MadeTy), Types.hmap(), Hint);
-  }
-  push(V);
-  return Flow::Normal;
-}
-
-Vm::Flow Vm::doNew(const NewExpr *NE) {
-  bool OnStack = NE->AllocId < Analysis.SiteOnStack.size() &&
-                 Analysis.SiteOnStack[NE->AllocId];
-  uintptr_t Storage;
-  size_t Bytes = NE->AllocTy->size();
-  if (OnStack) {
-    interp::Frame &F = *Frames.back();
-    auto It = F.SiteMem.find(NE->AllocId);
-    if (It != F.SiteMem.end()) {
-      Storage = It->second;
-      std::memset(reinterpret_cast<void *>(Storage), 0, Bytes);
-    } else {
-      Storage = F.Arena.allocate(Bytes ? Bytes : 8);
-      F.SiteMem[NE->AllocId] = Storage;
-      F.StackObjs.push_back({Storage, Types.lower(NE->AllocTy), Bytes});
-    }
-    noteStackAlloc(rt::AllocCat::Other, Bytes);
-  } else {
-    Storage = Heap.allocate(Bytes, Types.lower(NE->AllocTy),
-                            rt::AllocCat::Other, Opts.CacheId);
-  }
-  Value V;
-  V.Ty = NE->Ty;
-  V.A = Storage;
-  push(V);
-  return Flow::Normal;
-}
-
-Vm::Flow Vm::doComposite(const CompositeExpr *CE) {
-  interp::Frame &F = *Frames.back();
-  const Type *StructTy = CE->StructTy;
-  size_t Bytes = StructTy->size();
-  uintptr_t Storage;
-  bool OnStack = !CE->TakeAddr || (CE->AllocId < Analysis.SiteOnStack.size() &&
-                                   Analysis.SiteOnStack[CE->AllocId]);
-  if (OnStack) {
-    auto It = F.SiteMem.find(CE->AllocId);
-    if (It != F.SiteMem.end()) {
-      Storage = It->second;
-      std::memset(reinterpret_cast<void *>(Storage), 0, Bytes);
-    } else {
-      Storage = F.Arena.allocate(Bytes ? Bytes : 8);
-      F.SiteMem[CE->AllocId] = Storage;
-      F.StackObjs.push_back({Storage, Types.lower(StructTy), Bytes});
-    }
-    if (CE->TakeAddr)
-      noteStackAlloc(rt::AllocCat::Other, Bytes);
-  } else {
-    Storage = Heap.allocate(Bytes, Types.lower(StructTy), rt::AllocCat::Other,
-                            Opts.CacheId);
-  }
-  // The object stays on the operand stack (rooted) while the compiled
-  // SetField initializers that follow run -- they may allocate.
-  Value Obj;
-  Obj.Ty = CE->TakeAddr ? CE->Ty : StructTy;
-  Obj.A = Storage;
-  push(Obj);
-  return Flow::Normal;
-}
-
-void Vm::doTcfree(const TcfreeStmt *TS) {
-  uintptr_t Addr = varAddr(*Frames.back(), TS->Var);
-  switch (TS->FreeKind) {
-  case TcfreeKind::Slice: {
-    rt::SliceHeader Hdr;
-    std::memcpy(&Hdr, reinterpret_cast<void *>(Addr), sizeof(Hdr));
-    rt::tcfreeSlice(Heap, Hdr, Opts.CacheId);
-    return;
-  }
-  case TcfreeKind::Map:
-    rt::tcfreeMap(Heap, readU64(Addr), Opts.CacheId);
-    return;
-  case TcfreeKind::Object:
-    Heap.tcfreeObject(readU64(Addr), Opts.CacheId,
-                      rt::FreeSource::TcfreeObject);
-    return;
-  }
+  return Core.outOfFuel();
 }
 
 //===----------------------------------------------------------------------===//
@@ -331,7 +85,7 @@ Vm::Flow Vm::execChunk(const Chunk &C) {
   // The executing frame is fixed for the duration of a chunk: runFunction
   // pushes it before execChunk and pops it after, and nested calls restore
   // Frames before returning here.
-  interp::Frame &CurF = *Frames.back();
+  interp::Frame &CurF = *Core.Frames.back();
   size_t IP = 0;
   // Threaded dispatch: every handler knows its own static operand width and
   // jumps straight to the next handler through its own indirect branch,
@@ -351,12 +105,12 @@ Vm::Flow Vm::execChunk(const Chunk &C) {
   // path). With no hooks installed the per-opcode cost is one increment and
   // one never-taken branch to the shared slow path below; with hooks
   // (migration / GC torture) FastLimit is 0 so every dispatch goes slow.
-  uint64_t Fuel = FuelUsed;
-  const uint64_t FastLimit = FuelHooks ? 0 : Opts.MaxSteps;
+  uint64_t Fuel = Core.FuelUsed;
+  const uint64_t FastLimit = FuelHooks ? 0 : Core.Opts.MaxSteps;
   struct FuelSync {
     uint64_t &Mem, &Loc;
     ~FuelSync() { Mem = Loc; }
-  } Sync{FuelUsed, Fuel};
+  } Sync{Core.FuelUsed, Fuel};
 #define DISPATCH_AT(NewIP)                                                     \
   do {                                                                         \
     IP = (NewIP);                                                              \
@@ -377,8 +131,8 @@ Vm::Flow Vm::execChunk(const Chunk &C) {
 SlowFuel:
   // One call-free branch target shared by all dispatch sites: run the rare
   // hooks (which also enforce MaxSteps) or report fuel exhaustion.
-  FuelUsed = Fuel;
-  if (!(FuelHooks ? burnFuelHooks() : outOfFuel()))
+  Core.FuelUsed = Fuel;
+  if (!(FuelHooks ? burnFuelHooks() : Core.outOfFuel()))
     return Flow::Fault;
   goto *Targets[Code[IP]];
 
@@ -397,7 +151,7 @@ Do_Nil: {
 }
 Do_LoadVar: {
   const VarDecl *Var = VarPool[Code[IP + 1]];
-  push(interp::loadValueAt(varAddr(CurF, Var), Var->Ty));
+  push(interp::loadValueAt(Core.varAddr(CurF, Var), Var->Ty));
   NEXT(1);
 }
 Do_Pop:
@@ -472,7 +226,7 @@ Do_Mod: {
   L.Ty = TypePool[Code[IP + 1]];
   L.I = IsDiv ? arith::goDiv(L.I, R, DivZero) : arith::goMod(L.I, R, DivZero);
   if (DivZero) {
-    fault("integer divide by zero");
+    Core.fault("integer divide by zero");
     return Flow::Fault;
   }
   NEXT(1);
@@ -502,7 +256,7 @@ Do_Ne: {
 Do_Deref: {
   Value &T = top();
   if (!T.A) {
-    fault("nil pointer dereference");
+    Core.fault("nil pointer dereference");
     return Flow::Fault;
   }
   T = interp::loadValueAt(T.A, TypePool[Code[IP + 1]]);
@@ -515,7 +269,7 @@ Do_MkPtr: {
 Do_FieldPtr: {
   Value &T = top();
   if (!T.A) {
-    fault("nil pointer dereference");
+    Core.fault("nil pointer dereference");
     return Flow::Fault;
   }
   T = interp::loadValueAt(T.A + Code[IP + 1], TypePool[Code[IP + 2]]);
@@ -531,7 +285,7 @@ Do_IndexSlice: {
   Stack.pop_back();
   Value &B = Stack.back();
   if (Idx < 0 || Idx >= B.S.Len) {
-    fault("slice index out of range");
+    Core.fault("slice index out of range");
     return Flow::Fault;
   }
   const Type *ElemTy = TypePool[Code[IP + 1]];
@@ -539,38 +293,23 @@ Do_IndexSlice: {
   NEXT(1);
 }
 Do_IndexMap: {
-  Value K = pop();
-  Value MV = pop();
-  const Type *ValTy = TypePool[Code[IP + 1]];
-  // Reading from a nil map yields the zero value, like Go.
-  alignas(8) char Buf[64];
-  assert(ValTy->size() <= sizeof(Buf) && "map value too large");
-  std::memset(Buf, 0, sizeof(Buf));
-  if (MV.A)
-    rt::mapLookup(MV.A, K.I, Buf, ValTy->size());
-  if (ValTy->isStruct()) {
-    uintptr_t Tmp = CurF.Arena.allocate(ValTy->size());
-    std::memcpy(reinterpret_cast<void *>(Tmp), Buf, ValTy->size());
-    Value V;
-    V.Ty = ValTy;
-    V.A = Tmp;
-    push(V);
-  } else {
-    push(interp::loadValueAt(reinterpret_cast<uintptr_t>(Buf), ValTy));
-  }
+  const int64_t Key = Stack.back().I;
+  Stack.pop_back();
+  Value &MV = Stack.back();
+  MV = Core.mapIndex(MV.A, Key, TypePool[Code[IP + 1]]);
   NEXT(1);
 }
 
 Do_LvalVar: {
   Value V;
-  V.A = varAddr(CurF, VarPool[Code[IP + 1]]);
+  V.A = Core.varAddr(CurF, VarPool[Code[IP + 1]]);
   push(V);
   NEXT(1);
 }
 Do_LvalDeref: {
   Value &T = top();
   if (!T.A) {
-    fault("nil pointer dereference");
+    Core.fault("nil pointer dereference");
     return Flow::Fault;
   }
   T.Ty = nullptr; // Becomes a raw address; the scanner marks via A.
@@ -579,7 +318,7 @@ Do_LvalDeref: {
 Do_LvalFieldPtr: {
   Value &T = top();
   if (!T.A) {
-    fault("nil pointer dereference");
+    Core.fault("nil pointer dereference");
     return Flow::Fault;
   }
   T.A += Code[IP + 1];
@@ -597,7 +336,7 @@ Do_LvalIndex: {
   Stack.pop_back();
   Value &B = Stack.back();
   if (Idx < 0 || Idx >= B.S.Len) {
-    fault("slice index out of range");
+    Core.fault("slice index out of range");
     return Flow::Fault;
   }
   B.A = B.S.Data + (uintptr_t)Idx * Code[IP + 1];
@@ -608,23 +347,23 @@ Do_LvalIndex: {
 Do_Store: {
   const uintptr_t Addr = Stack.back().A;
   Stack.pop_back();
-  interp::storeValueAt(Heap, Types, Addr, Stack.back());
+  interp::storeValueAt(Core.Heap, Core.Types, Addr, Stack.back());
   Stack.pop_back();
   NEXT(0);
 }
 Do_StoreVarInit: {
   const VarDecl *Var = VarPool[Code[IP + 1]];
-  initVarSlot(CurF, Var); // The value stays on the stack, rooted, meanwhile.
+  Core.initVarSlot(CurF, Var); // The value stays on the stack, rooted, meanwhile.
   Value V = pop();
-  interp::storeValueAt(Heap, Types, varAddr(CurF, Var), V);
+  interp::storeValueAt(Core.Heap, Core.Types, Core.varAddr(CurF, Var), V);
   NEXT(1);
 }
 Do_InitVar:
-  initVarSlot(CurF, VarPool[Code[IP + 1]]);
+  Core.initVarSlot(CurF, VarPool[Code[IP + 1]]);
   NEXT(1);
 Do_MapNilCheck:
   if (!top().A) {
-    fault("assignment to entry in nil map");
+    Core.fault("assignment to entry in nil map");
     return Flow::Fault;
   }
   NEXT(0);
@@ -637,7 +376,7 @@ Do_StoreMap: {
   alignas(8) char Buf[64];
   assert(V.Ty->size() <= sizeof(Buf) && "map value too large");
   interp::storeValueAt(reinterpret_cast<uintptr_t>(Buf), V);
-  rt::mapAssign(mapCtxFor(MapTy), MV.A, K.I, Buf);
+  rt::mapAssign(Core.mapCtxFor(MapTy), MV.A, K.I, Buf);
   Stack.resize(Stack.size() - 3);
   NEXT(1);
 }
@@ -646,9 +385,9 @@ Do_Call: {
   uint32_t Argc = Code[IP + 2];
   size_t ArgBase = Stack.size() - Argc;
   std::vector<Value> Results;
-  FuelUsed = Fuel; // The callee burns fuel through the member.
+  Core.FuelUsed = Fuel; // The callee burns fuel through the member.
   Flow Fl = runFunction(FuncPool[Code[IP + 1]], ArgBase, Argc, Results);
-  Fuel = FuelUsed;
+  Fuel = Core.FuelUsed;
   if (Fl != Flow::Normal)
     return Fl;
   Stack.resize(ArgBase);
@@ -665,9 +404,9 @@ Do_CallMulti: {
   uint32_t Argc = Code[IP + 2];
   size_t ArgBase = Stack.size() - Argc;
   std::vector<Value> Results;
-  FuelUsed = Fuel; // The callee burns fuel through the member.
+  Core.FuelUsed = Fuel; // The callee burns fuel through the member.
   Flow Fl = runFunction(FuncPool[Code[IP + 1]], ArgBase, Argc, Results);
-  Fuel = FuelUsed;
+  Fuel = Core.FuelUsed;
   if (Fl != Flow::Normal)
     return Fl;
   Stack.resize(ArgBase);
@@ -679,9 +418,9 @@ Do_CallStmt: {
   uint32_t Argc = Code[IP + 2];
   size_t ArgBase = Stack.size() - Argc;
   std::vector<Value> Results;
-  FuelUsed = Fuel; // The callee burns fuel through the member.
+  Core.FuelUsed = Fuel; // The callee burns fuel through the member.
   Flow Fl = runFunction(FuncPool[Code[IP + 1]], ArgBase, Argc, Results);
-  Fuel = FuelUsed;
+  Fuel = Core.FuelUsed;
   if (Fl != Flow::Normal)
     return Fl;
   Stack.resize(ArgBase);
@@ -703,30 +442,31 @@ Do_Return: {
   return Flow::Return;
 }
 Do_MissingRet:
-  fault("missing return in '" + C.Fn->Name + "'");
+  Core.missingReturn(C.Fn);
   return Flow::Fault;
 
 Do_Make: {
-  Flow Fl = doMake(M->Makes[Code[IP + 1]]);
-  if (Fl != Flow::Normal)
-    return Fl;
+  // The compiled code pushed Len then Cap (when present).
+  const MakeExpr *ME = M->Makes[Code[IP + 1]];
+  const int64_t Cap = ME->CapExpr ? pop().I : 0;
+  const int64_t Len = ME->Len ? pop().I : 0;
+  Value V = Core.allocMake(ME, Len, ME->CapExpr ? Cap : Len);
+  if (Core.faulted())
+    return Flow::Fault;
+  push(V);
   NEXT(1);
 }
-Do_New: {
-  Flow Fl = doNew(M->News[Code[IP + 1]]);
-  if (Fl != Flow::Normal)
-    return Fl;
+Do_New:
+  push(Core.allocNew(M->News[Code[IP + 1]]));
   NEXT(1);
-}
-Do_Composite: {
-  Flow Fl = doComposite(M->Composites[Code[IP + 1]]);
-  if (Fl != Flow::Normal)
-    return Fl;
+Do_Composite:
+  // The object stays on the operand stack (rooted) while the compiled
+  // SetField initializers that follow run -- they may allocate.
+  push(Core.allocComposite(M->Composites[Code[IP + 1]]));
   NEXT(1);
-}
 Do_SetField: {
   Value V = pop();
-  interp::storeValueAt(Heap, Types, top().A + Code[IP + 1], V);
+  interp::storeValueAt(Core.Heap, Core.Types, top().A + Code[IP + 1], V);
   NEXT(1);
 }
 Do_LenSlice: {
@@ -753,13 +493,13 @@ Do_Append: {
   const Type *ElemTy = SliceTy->elem();
   Value &S = Stack[Stack.size() - 2];
   Value &Elem = Stack[Stack.size() - 1];
-  if (rt::sliceGrowForAppend(Heap, S.S, Types.arrayOf(ElemTy), ElemTy->size(),
-                             Opts.CacheId,
-                             Opts.Slice) == rt::SliceGrow::Overflow) {
-    fault("growslice: cap out of range");
+  if (rt::sliceGrowForAppend(Core.Heap, S.S, Core.Types.arrayOf(ElemTy),
+                             ElemTy->size(), Core.Opts.CacheId,
+                             Core.Opts.Slice) == rt::SliceGrow::Overflow) {
+    Core.fault("growslice: cap out of range");
     return Flow::Fault;
   }
-  interp::storeValueAt(Heap, Types,
+  interp::storeValueAt(Core.Heap, Core.Types,
                        S.S.Data + (uintptr_t)S.S.Len * ElemTy->size(), Elem);
   ++S.S.Len;
   Value Res = S;
@@ -779,7 +519,7 @@ Do_Slicing: {
   int64_t Lo = (Flags & 1) ? LoV.I : 0;
   int64_t Hi = (Flags & 2) ? HiV.I : Base.S.Len;
   if (Lo < 0 || Lo > Hi || Hi > Base.S.Cap) {
-    fault("slice bounds out of range");
+    Core.fault("slice bounds out of range");
     return Flow::Fault;
   }
   Value V;
@@ -796,8 +536,8 @@ Do_Copy: {
   Value Dst = pop();
   int64_t N = std::min(Dst.S.Len, Src.S.Len);
   if (N > 0) {
-    Heap.gcCopyBarrier(Dst.S.Data, Src.S.Data, (size_t)N * Code[IP + 2],
-                       Types.arrayOf(Dst.Ty->elem()));
+    Core.Heap.gcCopyBarrier(Dst.S.Data, Src.S.Data, (size_t)N * Code[IP + 2],
+                            Core.Types.arrayOf(Dst.Ty->elem()));
     rt::copyWordsRelaxed(Dst.S.Data, Src.S.Data, (size_t)N * Code[IP + 2]);
   }
   Value V;
@@ -809,14 +549,14 @@ Do_Copy: {
 
 Do_Panic: {
   Value V = pop();
-  Result.Panicked = true;
-  Result.PanicValue = V.I;
+  Core.Result.Panicked = true;
+  Core.Result.PanicValue = V.I;
   return Flow::Panic;
 }
 Do_Sink:
-  Result.Checksum =
-      Result.Checksum * 1099511628211ULL ^ (uint64_t)Stack.back().I;
-  ++Result.SinkCount;
+  Core.Result.Checksum =
+      Core.Result.Checksum * 1099511628211ULL ^ (uint64_t)Stack.back().I;
+  ++Core.Result.SinkCount;
   Stack.pop_back();
   NEXT(0);
 Do_Delete: {
@@ -827,7 +567,7 @@ Do_Delete: {
   NEXT(0);
 }
 Do_Tcfree:
-  doTcfree(M->Tcfrees[Code[IP + 1]]);
+  Core.tcfree(M->Tcfrees[Code[IP + 1]]);
   NEXT(1);
 #undef NEXT
 #undef DISPATCH_AT
@@ -849,44 +589,23 @@ void Vm::runDefers(interp::Frame &F) {
     Stack.resize(ArgBase);
     // A panic from a deferred call is recorded but does not stop the
     // remaining defers (matching the tree-walker); a fault does.
-    if (faulted())
+    if (Core.faulted())
       return;
   }
 }
 
 Vm::Flow Vm::runFunction(const FuncDecl *Fn, size_t ArgBase, size_t Argc,
                          std::vector<Value> &Results) {
-  if (!Fn) {
-    fault("call to unresolved function");
+  // The arguments stay on the operand stack, rooted, while parameters are
+  // heap-boxed.
+  if (!Core.enterFrame(Fn, Stack.data() + ArgBase, Argc))
     return Flow::Fault;
-  }
-  if (Frames.size() >= Opts.MaxFrames) {
-    Result.OutOfFuel = true;
-    fault("call stack overflow");
-    return Flow::Fault;
-  }
+  ReturnedStack.emplace_back();
   const Chunk *C = M->chunkFor(Fn);
   assert(C && "function without a compiled chunk");
 
-  auto FramePtr = std::make_unique<interp::Frame>();
-  interp::Frame &F = *FramePtr;
-  F.Fn = Fn;
-  F.Slots.assign(Fn->FrameSize, 0);
-  Frames.push_back(std::move(FramePtr));
-  ReturnedStack.emplace_back();
-
-  assert(Argc == Fn->Params.size() && "argument count mismatch");
-  for (size_t I = 0; I < Argc; ++I) {
-    initVarSlot(F, Fn->Params[I]); // May heap-box escaped parameters; the
-                                   // argument stays rooted on the stack.
-    if (faulted())
-      break;
-    interp::storeValueAt(Heap, Types, varAddr(F, Fn->Params[I]),
-                         Stack[ArgBase + I]);
-  }
-
   size_t TransientBase = ArgBase + Argc;
-  Flow F1 = faulted() ? Flow::Fault : execChunk(*C);
+  Flow F1 = Core.faulted() ? Flow::Fault : execChunk(*C);
   // An abrupt exit (panic, fault) leaves partial expression state on the
   // operand stack; drop it. The arguments below stay for the caller.
   Stack.resize(TransientBase);
@@ -894,29 +613,14 @@ Vm::Flow Vm::runFunction(const FuncDecl *Fn, size_t ArgBase, size_t Argc,
   // Defers run on return and panic; a fault (including the missing-return
   // fault) skips them, exactly like the tree-walker.
   if (F1 != Flow::Fault) {
-    runDefers(*Frames.back());
-    if (faulted() && F1 != Flow::Panic)
+    runDefers(*Core.Frames.back());
+    if (Core.faulted() && F1 != Flow::Panic)
       F1 = Flow::Fault;
   }
 
   std::vector<Value> Returned = std::move(ReturnedStack.back());
-
-  // Struct-typed return values reference storage inside the dying frame;
-  // copy them into the caller's frame arena before the frame goes away.
-  if (Frames.size() >= 2) {
-    interp::Frame &Caller = *Frames[Frames.size() - 2];
-    for (Value &V : Returned) {
-      if (!V.Ty || !V.Ty->isStruct() || !V.A)
-        continue;
-      uintptr_t Copy = Caller.Arena.allocate(V.Ty->size());
-      std::memcpy(reinterpret_cast<void *>(Copy),
-                  reinterpret_cast<void *>(V.A), V.Ty->size());
-      V.A = Copy;
-    }
-  }
-
   ReturnedStack.pop_back();
-  Frames.pop_back();
+  Core.exitFrame(Returned);
   Results = std::move(Returned);
   if (F1 == Flow::Return || F1 == Flow::Normal)
     return Flow::Normal;
@@ -929,42 +633,20 @@ Vm::Flow Vm::runFunction(const FuncDecl *Fn, size_t ArgBase, size_t Argc,
 
 interp::RunResult Vm::run(const std::string &Entry,
                           const std::vector<int64_t> &Args) {
-  Result = interp::RunResult{};
-  FaultMsg.clear();
-  FuelUsed = 0;
-  Frames.clear();
   ReturnedStack.clear();
   Stack.clear();
   // Pre-size the operand stack so the hot push path never reallocates
   // (expression depth is bounded by nesting, far under this).
   Stack.reserve(4096);
 
-  const FuncDecl *Fn = Prog.findFunc(Entry);
-  if (!Fn) {
-    Result.Error = "no entry function '" + Entry + "'";
-    return Result;
-  }
-  if (Fn->Params.size() != Args.size()) {
-    Result.Error = "entry argument count mismatch";
-    return Result;
-  }
-  for (size_t I = 0; I < Args.size(); ++I) {
-    Value V;
-    V.Ty = Fn->Params[I]->Ty;
-    V.I = Args[I];
-    if (!V.Ty->isScalar()) {
-      Result.Error = "entry parameters must be int or bool";
-      return Result;
-    }
-    push(V);
-  }
+  std::vector<Value> ArgValues;
+  const FuncDecl *Fn = Core.beginRun(Entry, Args, ArgValues);
+  if (!Fn)
+    return Core.Result;
+  Stack.insert(Stack.end(), ArgValues.begin(), ArgValues.end());
   std::vector<Value> Results;
   runFunction(Fn, 0, Args.size(), Results);
-  Result.Steps = FuelUsed;
-  if (!FaultMsg.empty() && !Result.OutOfFuel)
-    Result.Error = FaultMsg;
-  Frames.clear();
   ReturnedStack.clear();
   Stack.clear();
-  return Result;
+  return Core.finishRun();
 }

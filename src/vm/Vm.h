@@ -6,21 +6,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes compiled MiniGo (vm::Module) against the GoFree runtime. The VM
-/// reuses the tree-walking interpreter's value model, frame layout and
-/// memory helpers (interp::Frame, loadValueAt/storeValueAt), so the two
-/// engines produce bit-identical heaps and checksums; only dispatch
-/// changes. Like interp::Interp, a Vm is a precise GC root scanner: frame
-/// slots via pointer maps, stack-allocated objects, deferred arguments, and
-/// -- replacing the interpreter's explicit temp roots -- every value on the
-/// operand stack and in the pending-return slots.
+/// Executes compiled MiniGo (vm::Module) against the GoFree runtime. Frames,
+/// allocation sites and tcfree come from the same interp::EngineCore the
+/// tree-walking interpreter owns, so the two engines produce bit-identical
+/// heaps, stats and checksums; only dispatch differs. Like interp::Interp, a
+/// Vm is a precise GC root scanner: the core scans the frames (slots via
+/// pointer maps, stack-allocated objects, deferred arguments), and the Vm
+/// adds -- replacing the interpreter's explicit temp roots -- every value on
+/// the operand stack and in the pending-return slots.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GOFREE_VM_VM_H
 #define GOFREE_VM_VM_H
 
-#include "interp/Interp.h"
+#include "interp/EngineCore.h"
 #include "vm/Bytecode.h"
 
 namespace gofree {
@@ -62,35 +62,9 @@ private:
   Flow execChunk(const Chunk &C);
   void runDefers(interp::Frame &F);
 
-  // Allocation-site execution, mirroring the interpreter's eval* helpers.
-  Flow doMake(const minigo::MakeExpr *ME);
-  Flow doComposite(const minigo::CompositeExpr *CE);
-  Flow doNew(const minigo::NewExpr *NE);
-  void doTcfree(const minigo::TcfreeStmt *TS);
-
-  // Shared-with-interp bookkeeping (same semantics; see Interp.cpp).
-  // Take the frame explicitly: the dispatch loop hoists *Frames.back()
-  // once per chunk instead of reloading it per variable access.
-  uintptr_t varAddr(interp::Frame &F, const minigo::VarDecl *V);
-  void initVarSlot(interp::Frame &F, const minigo::VarDecl *V);
-  rt::MapCtx mapCtxFor(const minigo::Type *MapTy);
-  void noteStackAlloc(rt::AllocCat Cat, size_t Bytes);
-  bool faulted() const { return !FaultMsg.empty(); }
-  void fault(const std::string &Msg);
-
-  /// Per-opcode fuel accounting. The fast path is two increments and a
-  /// compare; migration/GC-torture hooks (rare) and fuel exhaustion take
-  /// the out-of-line slow paths.
-  bool burnFuel() {
-    ++FuelUsed;
-    if (FuelHooks)
-      return burnFuelHooks();
-    if (FuelUsed <= Opts.MaxSteps)
-      return true;
-    return outOfFuel();
-  }
+  /// Fuel slow path, taken only when MigrationPeriod or GcEveryNSteps is
+  /// set: runs those hooks and enforces MaxSteps.
   bool burnFuelHooks();
-  bool outOfFuel();
 
   // Operand stack.
   void push(const interp::Value &V) { Stack.push_back(V); }
@@ -101,23 +75,15 @@ private:
   }
   interp::Value &top() { return Stack.back(); }
 
-  const minigo::Program &Prog;
-  const escape::ProgramAnalysis &Analysis;
-  rt::Heap &Heap;
-  interp::InterpOptions Opts;
-  interp::TypeLower Types;
+  interp::EngineCore Core;
 
   Module Own;          ///< Compiled here unless a shared module was given.
   const Module *M;
 
-  std::vector<std::unique_ptr<interp::Frame>> Frames;
-  /// Parallel to Frames: each frame's captured return values (alive and
+  /// Parallel to Core.Frames: each frame's captured return values (alive and
   /// scanned while that frame's defers run).
   std::vector<std::vector<interp::Value>> ReturnedStack;
   std::vector<interp::Value> Stack; ///< Operand stack; every entry is a root.
-  interp::RunResult Result;
-  std::string FaultMsg;
-  uint64_t FuelUsed = 0;
   /// True when MigrationPeriod or GcEveryNSteps is set (both need per-step
   /// modulo checks); false keeps the dispatch loop's fuel check branchless
   /// of them.

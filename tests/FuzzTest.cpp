@@ -129,6 +129,37 @@ TEST(DifferTest, StandardLegMatrix) {
   EXPECT_TRUE(SawFlip);
 }
 
+TEST(DifferTest, EngineStatsLawReportsEachCounter) {
+  LegResult Ref, Vm;
+  Ref.Name = "go";
+  Vm.Name = "vm";
+  rt::StatsSnapshot &R = Ref.Outcome.Stats;
+  R.AllocCountByCat[(int)rt::AllocCat::Slice] = 10;
+  R.StackAllocCountByCat[(int)rt::AllocCat::Map] = 4;
+  R.TcfreeCalls = 7;
+  R.TcfreeGiveUps = 2;
+  R.GcCycles = 3;
+  Vm.Outcome.Stats = R;
+  // Frees, give-ups and GC work depend on collector timing: not compared.
+  Vm.Outcome.Stats.TcfreeGiveUps = 5;
+  Vm.Outcome.Stats.GcCycles = 1;
+  EXPECT_EQ(checkEngineStats(Vm, Ref), "");
+
+  rt::StatsSnapshot &S = Vm.Outcome.Stats;
+  S.AllocCountByCat[(int)rt::AllocCat::Slice] = 11;
+  EXPECT_EQ(checkEngineStats(Vm, Ref),
+            "engine stats diverged from leg 'go': heap allocs (slice) 11, "
+            "expected 10");
+  S = R;
+  S.StackAllocCountByCat[(int)rt::AllocCat::Map] = 3;
+  EXPECT_NE(checkEngineStats(Vm, Ref).find("stack allocs (map) 3"),
+            std::string::npos);
+  S = R;
+  S.TcfreeCalls = 0;
+  EXPECT_NE(checkEngineStats(Vm, Ref).find("tcfree calls 0, expected 7"),
+            std::string::npos);
+}
+
 TEST(DifferTest, CleanSeedsDiffOk) {
   for (uint64_t Seed : {1, 2, 5}) {
     std::string Src = generateProgram(genOptionsForSeed(Seed));

@@ -51,20 +51,42 @@ ExecOutcome runEngine(const std::string &Src, ExecEngine Engine,
   return execute(C, "main", Args, EO);
 }
 
-/// The engine law: VM and tree-walker must agree on every observable --
-/// checksum, sink count, panic flag/value and fault string -- in both
-/// compilation modes. Returns the VM outcome for further checks.
-ExecOutcome expectEngineEquivalence(const std::string &Src,
-                                    const std::vector<int64_t> &Args = {}) {
+/// The engine law: VM and tree-walker, run on the same compilation, must
+/// agree on every observable -- checksum, sink count, panic flag/value and
+/// fault string -- in both compilation modes. Both place allocation sites
+/// and call tcfree through interp::EngineCore, so they must also agree on
+/// heap and stack allocations by category and on tcfree calls. Returns the
+/// VM outcome of the GoFree compilation for further checks.
+ExecOutcome expectEngineEquivalence(
+    const std::string &Src, const std::vector<int64_t> &Args = {},
+    escape::FreeTargets Targets = escape::FreeTargets::SlicesAndMaps) {
   ExecOutcome VmO;
   for (CompileMode Mode : {CompileMode::Go, CompileMode::GoFree}) {
-    ExecOutcome A = runEngine(Src, ExecEngine::Ast, Mode, Args);
-    ExecOutcome V = runEngine(Src, ExecEngine::Vm, Mode, Args);
+    CompileOptions CO;
+    CO.Mode = Mode;
+    CO.Targets = Targets;
+    Compilation C = compile(Src, CO);
+    EXPECT_TRUE(C.ok()) << C.Errors;
+    if (!C.ok())
+      return {};
+    ExecOptions EO;
+    EO.Engine = ExecEngine::Ast;
+    ExecOutcome A = execute(C, "main", Args, EO);
+    EO.Engine = ExecEngine::Vm;
+    ExecOutcome V = execute(C, "main", Args, EO);
     EXPECT_EQ(V.Run.Checksum, A.Run.Checksum) << "engines diverged";
     EXPECT_EQ(V.Run.SinkCount, A.Run.SinkCount);
     EXPECT_EQ(V.Run.Panicked, A.Run.Panicked);
     EXPECT_EQ(V.Run.PanicValue, A.Run.PanicValue);
     EXPECT_EQ(V.Run.Error, A.Run.Error);
+    for (int Cat = 0; Cat < rt::NumAllocCats; ++Cat) {
+      EXPECT_EQ(V.Stats.AllocCountByCat[Cat], A.Stats.AllocCountByCat[Cat])
+          << "heap allocs of category " << Cat;
+      EXPECT_EQ(V.Stats.StackAllocCountByCat[Cat],
+                A.Stats.StackAllocCountByCat[Cat])
+          << "stack allocs of category " << Cat;
+    }
+    EXPECT_EQ(V.Stats.TcfreeCalls, A.Stats.TcfreeCalls);
     if (Mode == CompileMode::GoFree)
       VmO = V;
   }
@@ -237,6 +259,58 @@ TEST(VmTest, SlicesMapsStructsMatchTreeWalker) {
       "  sink(copy(dst, s))\n"
       "  sink(dst[4])\n"
       "}\n");
+}
+
+// Every allocation-site kind, each executed once per loop iteration so the
+// stack sites reuse their slots, plus a tcfree of each kind (objects need
+// the all-targets pipeline).
+TEST(VmTest, EverySiteKindMatchesTreeWalker) {
+  ExecOutcome O = expectEngineEquivalence(
+      "type Pt struct { x int\n y int\n }\n"
+      "func mk(n int) Pt { return Pt{x: n, y: n * 2} }\n"
+      "func newPt(n int) *Pt { return &Pt{x: n, y: 1} }\n"
+      "func boxed(v int) *int { return &v }\n"
+      "func main(n int) {\n"
+      "  acc := 0\n"
+      "  keep := make(map[int]*int, 2)\n"
+      "  for i := 0; i < 20; i = i + 1 {\n"
+      "    s := make([]int, 8)\n"          // Constant size: stack.
+      "    h := make([]int, n)\n"          // Parameter size: heap.
+      "    m := make(map[int]int, 4)\n"    // Stack map with a hint.
+      "    hm := make(map[int]int, n)\n"   // Parameter hint: heap.
+      "    p := new(Pt)\n"
+      "    q := &Pt{x: i, y: 1}\n"
+      "    v := Pt{x: i, y: 2}\n"
+      "    r := mk(i)\n"                   // Struct result copied out.
+      "    b := boxed(i)\n"                // Heap-boxed parameter.
+      "    o := newPt(i)\n"                // Heap object, freed here.
+      "    s[i%8] = i\n"
+      "    h[i%n] = i + 1\n"
+      "    m[i] = i\n"
+      "    hm[i] = i * 3\n"
+      "    p.x = i\n"
+      "    keep[i%3] = b\n"
+      "    acc = acc + s[i%8] + h[i%n] + m[i] + hm[i] + p.x + q.x + q.y +\n"
+      "      v.y + r.y + *b + o.x + len(hm)\n"
+      "  }\n"
+      "  sink(acc + len(keep))\n"
+      "}\n",
+      {5}, escape::FreeTargets::All);
+  ASSERT_TRUE(O.Run.ok()) << O.Run.Error;
+  // The law above compared real traffic: every category allocates on the
+  // heap and on the stack, and a reused stack slot counts every execution.
+  const rt::StatsSnapshot &S = O.Stats;
+  for (int Cat = 0; Cat < rt::NumAllocCats; ++Cat)
+    EXPECT_GT(S.AllocCountByCat[Cat], 0u) << "category " << Cat;
+  EXPECT_EQ(S.StackAllocCountByCat[(int)rt::AllocCat::Slice], 20u);
+  EXPECT_EQ(S.StackAllocCountByCat[(int)rt::AllocCat::Map], 21u);
+  EXPECT_EQ(S.StackAllocCountByCat[(int)rt::AllocCat::Other], 40u);
+  // Each iteration frees one object, one slice and one map (a map frees
+  // its header and its bucket array).
+  for (rt::FreeSource Src : {rt::FreeSource::TcfreeObject,
+                             rt::FreeSource::TcfreeSlice,
+                             rt::FreeSource::TcfreeMap})
+    EXPECT_GE(S.FreedCountBySource[(int)Src], 20u) << "source " << (int)Src;
 }
 
 TEST(VmTest, EqualityClassesMatchTreeWalker) {
